@@ -7,8 +7,11 @@ from typing import TYPE_CHECKING, FrozenSet, Tuple
 
 from repro.net.address import NodeId
 
+# Frozen dataclasses refuse plain attribute assignment.
+_setattr = object.__setattr__
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, init=False)
 class ProcessId:
     """A process registered with the GCS: (node, local name).
 
@@ -17,8 +20,26 @@ class ProcessId:
     uses for deterministic client re-distribution.
     """
 
+    __slots__ = ("node", "name", "_hash")
+
     node: NodeId
     name: str
+
+    def __init__(self, node: NodeId, name: str) -> None:
+        # Process ids key the control plane's dicts and sets, so the
+        # hash is computed once.  It is the value the generated
+        # dataclass hash gives, so iteration orders do not change.
+        _setattr(self, "node", node)
+        _setattr(self, "name", name)
+        _setattr(self, "_hash", hash((node, name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # ``str`` hashes differ between processes: pickle the fields
+        # only, so the receiving process recomputes the hash.
+        return (ProcessId, (self.node, self.name))
 
     def __str__(self) -> str:
         return f"{self.name}@{self.node}"

@@ -5,19 +5,30 @@ objects connected by :class:`~repro.net.link.Link` objects.  Datagrams
 are forwarded hop by hop along shortest paths (BFS on live links), so a
 multi-hop WAN path accumulates per-hop delay, jitter, queueing and loss
 naturally.  Partitions are injected by taking links down; routes are
-recomputed lazily.
+recomputed lazily, one source node at a time.
+
+Forwarding is the control plane's per-datagram cost, so each hop reads
+one cached ``(direction, next_hop, on_hop)`` entry keyed by
+``(at_node, dst_node)``.  :meth:`Network.note_change` clears both the
+routes and that hop cache.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.net.link import Link, LinkFault, LinkParams
+from repro.net.link import Link, LinkFault, LinkParams, _Direction
 from repro.net.node import Node
 from repro.net.packet import Datagram
 from repro.sim.core import Simulator
+
+
+#: A forwarding entry: the link direction out of a node, the node it
+#: leads to, and that node's delivery callback.
+_Hop = Tuple[_Direction, int, Callable[[Datagram], None]]
 
 
 class Network:
@@ -28,7 +39,15 @@ class Network:
         self.nodes: List[Node] = []
         self._links: Dict[Tuple[int, int], Link] = {}
         self._adjacency: Dict[int, List[int]] = {}
-        self._routes: Optional[Dict[int, Dict[int, int]]] = None
+        # First hop from a source toward each reachable destination,
+        # one BFS table per source, built when that source first routes.
+        self._routes: Dict[int, Dict[int, int]] = {}
+        # (at_node, dst_node) -> (direction, next_hop, on_hop), or None
+        # for an unreachable destination.
+        self._hops: Dict[Tuple[int, int], Optional[_Hop]] = {}
+        # One delivery callback per node, handed to every link direction
+        # that forwards into that node.
+        self._on_hop_fns: List[Callable[[Datagram], None]] = []
         # Bumped on every change that can affect in-flight traffic:
         # topology, link up/down, injected faults, node crash/restart.
         # Precomputed burst transfers (net/burst.py) revalidate their
@@ -39,7 +58,8 @@ class Network:
 
     def note_change(self) -> None:
         """Invalidate cached routes and precomputed fast-path state."""
-        self._routes = None
+        self._routes.clear()
+        self._hops.clear()
         self.state_version += 1
 
     # ------------------------------------------------------------------
@@ -49,6 +69,7 @@ class Network:
         node_id = len(self.nodes)
         node = Node(self, node_id, name or f"node{node_id}")
         self.nodes.append(node)
+        self._on_hop_fns.append(partial(self._on_hop, node_id))
         self._adjacency[node_id] = []
         self.note_change()
         return node
@@ -158,22 +179,28 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, datagram: Datagram) -> None:
         """Inject a datagram at its source node and route it."""
-        src_node = self.node(datagram.src.node)
-        if not src_node.alive:
+        src = datagram.src.node
+        if not 0 <= src < len(self.nodes):
+            raise NetworkError(f"unknown node id {src}")
+        if not self.nodes[src].alive:
             return
-        self._forward(datagram, at_node=datagram.src.node)
+        self._forward(datagram, src)
 
     def _forward(self, datagram: Datagram, at_node: int) -> None:
-        if at_node == datagram.dst.node:
-            self.node(at_node).deliver(datagram)
+        dst = datagram.dst.node
+        if at_node == dst:
+            self.nodes[at_node].deliver(datagram)
             return
         if datagram.hops_remaining <= 0:
             return
-        next_hop = self._next_hop(at_node, datagram.dst.node)
-        if next_hop is None:
+        try:
+            hop = self._hops[(at_node, dst)]
+        except KeyError:
+            hop = self._hop(at_node, dst)
+        if hop is None:
             return  # unreachable: datagrams vanish, like real UDP
+        direction, next_hop, on_hop = hop
         datagram.hops_remaining -= 1
-        link = self.link(at_node, next_hop)
         guaranteed = (
             self.qos is not None
             and datagram.flow_id is not None
@@ -181,17 +208,12 @@ class Network:
                 at_node, next_hop, datagram.flow_id, datagram.wire_bytes()
             )
         )
-        link.direction(at_node).transmit(
-            datagram,
-            lambda dgram, hop=next_hop: self._on_hop(dgram, hop),
-            guaranteed=guaranteed,
-        )
+        direction.transmit(datagram, on_hop, guaranteed=guaranteed)
 
-    def _on_hop(self, datagram: Datagram, node_id: int) -> None:
-        node = self.node(node_id)
-        if not node.alive and node_id != datagram.dst.node:
+    def _on_hop(self, node_id: int, datagram: Datagram) -> None:
+        if not self.nodes[node_id].alive and node_id != datagram.dst.node:
             return  # routers that crashed blackhole traffic
-        self._forward(datagram, at_node=node_id)
+        self._forward(datagram, node_id)
 
     # ------------------------------------------------------------------
     # Fast-path support (see repro.net.burst)
@@ -203,16 +225,14 @@ class Network:
         same BFS next-hop tables :meth:`send` uses, so a precomputed
         burst crosses exactly the links a per-frame send would.
         """
-        if src == dst:
-            return []
         hops = []
         at = src
         while at != dst:
-            next_hop = self._next_hop(at, dst)
-            if next_hop is None or len(hops) >= 64:
+            hop = self._hop(at, dst)
+            if hop is None or len(hops) >= 64:
                 return None
-            hops.append((self.link(at, next_hop).direction(at), next_hop))
-            at = next_hop
+            direction, at, _ = hop
+            hops.append((direction, at))
         return hops
 
     def path_clear(self, hops, dst: int) -> bool:
@@ -235,22 +255,32 @@ class Network:
     # Routing (BFS shortest path over live links)
     # ------------------------------------------------------------------
     def _next_hop(self, src: int, dst: int) -> Optional[int]:
-        routes = self._routing_tables()
-        return routes.get(src, {}).get(dst)
+        table = self._routes.get(src)
+        if table is None:
+            table = self._routes[src] = self._bfs_from(src)
+        return table.get(dst)
 
-    def _routing_tables(self) -> Dict[int, Dict[int, int]]:
-        if self._routes is None:
-            self._routes = {
-                node.node_id: self._bfs_from(node.node_id) for node in self.nodes
-            }
-        return self._routes
+    def _hop(self, at_node: int, dst: int) -> Optional[_Hop]:
+        """The cached forwarding entry for ``at_node`` toward ``dst``."""
+        key = (at_node, dst)
+        if key in self._hops:
+            return self._hops[key]
+        next_hop = self._next_hop(at_node, dst)
+        hop = None
+        if next_hop is not None:
+            direction = self._links[self._link_key(at_node, next_hop)].direction(
+                at_node
+            )
+            hop = (direction, next_hop, self._on_hop_fns[next_hop])
+        self._hops[key] = hop
+        return hop
 
     def _bfs_from(self, src: int) -> Dict[int, int]:
         """First hop from ``src`` toward every reachable destination."""
         first_hop: Dict[int, int] = {}
         visited = {src}
         frontier = deque()
-        for neighbor in self._adjacency[src]:
+        for neighbor in self._adjacency.get(src, ()):
             if self._link_up(src, neighbor):
                 first_hop[neighbor] = neighbor
                 visited.add(neighbor)

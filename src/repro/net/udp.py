@@ -29,16 +29,14 @@ class UdpSocket:
     ) -> None:
         self.node = node
         self.port = node.bind(self, port)
+        # The port never changes after bind, so neither does the address.
+        self.endpoint = Endpoint(node.node_id, self.port)
         self.on_receive = on_receive
         self.closed = False
         self.sent_packets = 0
         self.sent_bytes = 0
         self.received_packets = 0
         self.received_bytes = 0
-
-    @property
-    def endpoint(self) -> Endpoint:
-        return Endpoint(self.node.node_id, self.port)
 
     def sendto(
         self,

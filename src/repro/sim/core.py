@@ -4,12 +4,18 @@ A :class:`Simulator` owns a virtual clock and a priority queue of pending
 events.  Events scheduled for the same instant fire in the order they were
 scheduled (FIFO tie-breaking via a monotonically increasing sequence
 number), which keeps runs fully deterministic.
+
+The queue is a binary heap of ``(time, seq, handle)`` entries.  ``seq``
+is unique, so ``heapq`` orders entries by comparing the two leading
+numbers in C and never reaches the handle.  Cancellation is lazy: a
+cancelled handle's entry stays in the heap and is skipped when it
+reaches the top.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -68,17 +74,6 @@ class EventHandle:
     def active(self) -> bool:
         return not self.cancelled
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Tuple-free ordering: this comparison runs millions of times
-        # per large run inside heapq, and building two tuples per call
-        # measurably dominates heap maintenance (~28% of push/pop cost
-        # at N=200k handles).  Times are never NaN (call_at guards), so
-        # the chained compare is a strict weak order identical to
-        # (time, seq) tuple comparison.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "active"
         return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
@@ -105,7 +100,8 @@ class Simulator:
     def __init__(self, seed: int = 0, trace: bool = False) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: List[EventHandle] = []
+        # Heap of (time, seq, handle); see the module docstring.
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._running = False
         self._stopped = False
         # Count of live (non-cancelled, not-yet-fired) queued events,
@@ -146,13 +142,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, now is t={self._now:.6f}"
             )
-        handle = EventHandle(time, self._seq, callback, args)
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args)
         handle._sim = self
         if self.telemetry.active:
             handle._tel = self.telemetry
-        self._seq += 1
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._queue, handle)
+        heappush(self._queue, (time, seq, handle))
         return handle
 
     def call_after(
@@ -175,7 +172,8 @@ class Simulator:
         live in the queue: only pass a handle whose event has already
         fired (it is popped before its callback runs) or that was
         cancelled *and then* popped.  The callback and args are kept;
-        callers may mutate ``handle.args`` between firings.
+        callers may mutate ``handle.args`` between firings.  The handle
+        goes back into the heap as a fresh entry.
         """
         if math.isnan(time):
             raise SimulationError("cannot schedule an event at time NaN")
@@ -183,15 +181,16 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, now is t={self._now:.6f}"
             )
+        seq = self._seq
         handle.time = time
-        handle.seq = self._seq
+        handle.seq = seq
         handle.cancelled = False
         handle._sim = self
         if self.telemetry.active:
             handle._tel = self.telemetry
-        self._seq += 1
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._queue, handle)
+        heappush(self._queue, (time, seq, handle))
         return handle
 
     # ------------------------------------------------------------------
@@ -199,17 +198,24 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the single next event.  Returns False if the queue is empty."""
-        handle = self._pop_next()
-        if handle is None:
-            return False
-        self._now = handle.time
-        if self.tracer.enabled:
-            self.tracer.record(self._now, handle.callback, handle.args)
-        tel = self.telemetry
-        if tel.active:
-            tel.emit("sim.fire", name=_callback_name(handle.callback))
-        handle.callback(*handle.args)
-        return True
+        queue = self._queue
+        while queue:
+            time, _, handle = heappop(queue)
+            if handle.cancelled:
+                continue
+            self._live -= 1
+            # The handle is out of the queue now; a late cancel() must
+            # not decrement the live counter a second time.
+            handle._sim = None
+            self._now = time
+            if self.tracer.enabled:
+                self.tracer.record(time, handle.callback, handle.args)
+            tel = self.telemetry
+            if tel.active:
+                tel.emit("sim.fire", name=_callback_name(handle.callback))
+            handle.callback(*handle.args)
+            return True
+        return False
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains.  Returns the event count."""
@@ -240,6 +246,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot run backwards to t={time:.6f} from t={self._now:.6f}"
             )
+        queue = self._queue
+        step = self.step
         count = 0
         exhausted = False
         self._stopped = False
@@ -247,10 +255,11 @@ class Simulator:
             if max_events is not None and count >= max_events:
                 exhausted = True
                 break
-            nxt = self._peek_next()
-            if nxt is None or nxt.time > time:
+            while queue and queue[0][2].cancelled:
+                heappop(queue)
+            if not queue or queue[0][0] > time:
                 break
-            self.step()
+            step()
             count += 1
         if not self._stopped and not exhausted:
             self._now = max(self._now, time)
@@ -273,35 +282,14 @@ class Simulator:
         Kept for the agreement test in ``tests/sim``: the incremental
         counter must always match a full scan of the heap.
         """
-        return sum(1 for handle in self._queue if not handle.cancelled)
+        return sum(1 for _, _, handle in self._queue if not handle.cancelled)
 
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
-        handle = self._peek_next()
-        return handle.time if handle is not None else None
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _pop_next(self) -> Optional[EventHandle]:
-        while self._queue:
-            handle = heapq.heappop(self._queue)
-            if not handle.cancelled:
-                self._live -= 1
-                # The handle is out of the queue now; a late cancel()
-                # must not decrement the live counter a second time.
-                handle._sim = None
-                return handle
-        return None
-
-    def _peek_next(self) -> Optional[EventHandle]:
-        while self._queue:
-            handle = self._queue[0]
-            if handle.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            return handle
-        return None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heappop(queue)
+        return queue[0][0] if queue else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

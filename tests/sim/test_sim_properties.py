@@ -195,7 +195,7 @@ def test_pending_count_agrees_with_scan_under_churn(ops):
             handle = handles[i % len(handles)]
             # Only recycle handles that are out of the queue: fired
             # (popped before their callback ran) or cancelled-and-popped.
-            if handle.cancelled and handle not in sim._queue:
+            if handle.cancelled and all(e[2] is not handle for e in sim._queue):
                 sim.reschedule(handle, sim.now + value)
         assert sim.pending_count() == sim._pending_count_scan()
     sim.run()
