@@ -11,8 +11,12 @@ compares against the checked-in baseline
 The QoE metrics are deterministic under the fixed gate seeds, so the
 10 % tolerance only has to absorb cross-platform float jitter; a real
 regression (an extra glitch, a slower failover) trips it immediately.
-Wall-clock overhead is *not* deterministic, so it is judged against a
-fixed ceiling rather than a baseline ratio.
+Observer overhead is *not* deterministic, so it is judged against a
+fixed ceiling rather than a baseline ratio.  It is measured the way
+``tests/telemetry/test_overhead.py`` measures the disabled path: CPU
+time (``process_time``) of plain and observed runs of the same seed,
+in alternating order after an untimed warm-up, and the median of the
+per-pair overheads is reported with its interquartile spread.
 
 Regenerate the baseline after an intentional behaviour change with
 ``repro-vod qoe-check --update-baseline``.
@@ -32,6 +36,17 @@ from repro.telemetry.slo import quantile
 GATE_CHAOS_SEED = 1000
 GATE_CHAOS_PLANS = 3
 GATE_CHAOS_DURATION_S = 60.0
+
+#: Plain/observed pairs timed for the overhead figure.
+OVERHEAD_PAIRS = 7
+#: Ceiling on the median observer overhead, in percent.  With routed
+#: dispatch the median measured 12.4 % (interquartile 5.2-20.5 %, 7
+#: pairs) and 14.3 % (10.3-21.1 %, 15 pairs) on a 2-core Linux
+#: container, where the pre-routing bus measured 32 % and fails it.
+#: The margin of about 16 points has been measured on that container
+#: only, not on the CI runner; check it against a CI run's
+#: ``BENCH_qoe.json`` before tightening further.
+OVERHEAD_CEILING_PCT = 30.0
 
 #: Default artifact locations.
 DEFAULT_BASELINE = os.path.join("benchmarks", "BENCH_qoe_baseline.json")
@@ -55,24 +70,10 @@ def measure(
     chaos_duration_s: float = GATE_CHAOS_DURATION_S,
 ) -> Dict:
     """Run the gate workloads and return the measurement record."""
-    from repro.experiments.scenarios import LAN_SCENARIO, run_scenario
+    from repro.experiments.scenarios import LAN_SCENARIO
     from repro.faulting.chaos import run_chaos_trial
 
-    # Unobserved twin first: same seed, bus inactive end to end.  The
-    # observed run's extra wall time is the full observability stack's
-    # price (QoE + SLO subscribers, cause propagation, span accounting,
-    # and — since the flight recorder shipped — bounded incident
-    # capture, so the overhead ceiling guards the recorder too).
-    t0 = time.perf_counter()
-    run_scenario(LAN_SCENARIO)
-    plain_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    observed = run_scenario(LAN_SCENARIO, observe=True, flight=True)
-    observed_s = time.perf_counter() - t0
-    overhead_pct = (
-        100.0 * max(0.0, observed_s - plain_s) / plain_s
-        if plain_s > 0 else 0.0
-    )
+    overhead, observed = measure_overhead()
 
     failovers: List[float] = list(observed.failovers)
     cards = list(observed.qoe.values())
@@ -107,8 +108,10 @@ def measure(
             ),
             "clients_scored": len(cards),
         },
-        "overhead_pct": overhead_pct,
-        "overhead_ceiling_pct": 60.0,
+        "overhead_pct": overhead["median"],
+        "overhead_iqr_pct": [overhead["q1"], overhead["q3"]],
+        "overhead_pairs": overhead["pairs"],
+        "overhead_ceiling_pct": OVERHEAD_CEILING_PCT,
         # Informational (not judged): proof the overhead number above
         # was measured with the flight recorder live and capturing.
         "flight": {
@@ -119,6 +122,42 @@ def measure(
             ),
         },
     }
+
+
+def measure_overhead():
+    """The observers' CPU overhead on the Figure 4 LAN scenario.
+
+    Each pair runs the scenario plain (bus inactive end to end) and
+    observed (QoE + SLO subscribers, cause propagation, span accounting
+    and the flight recorder) on the same seed; the order alternates
+    pair by pair so neither side always pays for warming up.  Returns
+    ``({"median", "q1", "q3", "pairs"}, an observed ScenarioResult)``
+    with the overheads in percent.
+    """
+    from repro.experiments.scenarios import LAN_SCENARIO, run_scenario
+
+    def timed(observe: bool):
+        start = time.process_time()
+        result = run_scenario(LAN_SCENARIO, observe=observe, flight=observe)
+        return time.process_time() - start, result
+
+    timed(False)  # warm-up, untimed
+    overheads = []
+    observed = None
+    for index in range(OVERHEAD_PAIRS):
+        if index % 2:
+            observed_s, observed = timed(True)
+            plain_s, _ = timed(False)
+        else:
+            plain_s, _ = timed(False)
+            observed_s, observed = timed(True)
+        overheads.append(100.0 * (observed_s / plain_s - 1.0))
+    return {
+        "median": quantile(overheads, 0.50),
+        "q1": quantile(overheads, 0.25),
+        "q3": quantile(overheads, 0.75),
+        "pairs": OVERHEAD_PAIRS,
+    }, observed
 
 
 def compare(
@@ -151,7 +190,8 @@ def compare(
         ok = ok and not bad
     ceiling = float(
         baseline.get(
-            "overhead_ceiling_pct", current.get("overhead_ceiling_pct", 60.0)
+            "overhead_ceiling_pct",
+            current.get("overhead_ceiling_pct", OVERHEAD_CEILING_PCT),
         )
     )
     overhead = float(current.get("overhead_pct", 0.0))

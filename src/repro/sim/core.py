@@ -57,10 +57,9 @@ class EventHandle:
         """Prevent the event from firing.  Idempotent."""
         if self.cancelled:
             return
-        if self._tel is not None and self._tel.active:
-            self._tel.emit(
-                "sim.cancel", at=self.time, name=_callback_name(self.callback)
-            )
+        tel = self._tel
+        if tel is not None and tel.active and not tel.skip("sim.cancel"):
+            tel.emit("sim.cancel", at=self.time, name=_callback_name(self.callback))
         if self._sim is not None:
             self._sim._live -= 1
         self.cancelled = True
@@ -211,7 +210,7 @@ class Simulator:
             if self.tracer.enabled:
                 self.tracer.record(time, handle.callback, handle.args)
             tel = self.telemetry
-            if tel.active:
+            if tel.active and not tel.skip("sim.fire"):
                 tel.emit("sim.fire", name=_callback_name(handle.callback))
             handle.callback(*handle.args)
             return True

@@ -5,17 +5,23 @@ One :class:`Telemetry` instance lives on every
 kernel, network, GCS, server, client, fault injector — emits typed
 events through it.  Design constraints, in priority order:
 
-1. **Disabled cost is one predicate check.**  Instrumented sites guard
-   with ``if tel.active:`` where ``active`` is a plain attribute kept in
-   sync with the subscriber list.  With no subscribers nothing is
-   formatted, allocated or dispatched.
+1. **Disabled cost is one predicate check; enabled cost follows
+   delivery.**  Instrumented sites guard with ``if tel.active:`` where
+   ``active`` is a plain attribute kept in sync with the subscriber
+   list.  With no subscribers nothing is formatted, allocated or
+   dispatched.  With subscribers, ``emit`` looks the kind up in a
+   routing table (kind -> the callbacks that take it); a kind nobody
+   takes costs one counter bump, and firehose sites ask
+   :meth:`Telemetry.skip` before building their payload.
 2. **Emission never perturbs the simulation.**  ``emit`` draws no
    random numbers and schedules no events, so a run with full telemetry
    is event-for-event identical to a run without (same seed).
 3. **Subscribers are push-based.**  A subscriber is a callable invoked
    synchronously with each :class:`TelemetryEvent`; kind-prefix filters
    keep high-frequency kernel/network events out of subscribers that do
-   not want them.
+   not want them.  Delivery iterates a snapshot, so a subscriber that
+   subscribes or closes during delivery changes the *next* emission's
+   recipients, never the current one's.
 
 This module must not import the rest of :mod:`repro` (the sim kernel
 imports it — anything else would be an import cycle).
@@ -114,6 +120,11 @@ class Telemetry:
         #: detector's later suspicion looks the cause back up.
         self._cause_of: Dict[str, str] = {}
         self._subscribers: List[Subscription] = []
+        #: Routing table: kind -> callbacks that take it, in
+        #: subscription order.  Filled lazily by :meth:`_route` and
+        #: cleared whenever the subscriber list changes.  Kinds are a
+        #: small closed vocabulary, so the table stays small.
+        self._routes: Dict[str, Tuple[SubscriberFn, ...]] = {}
         self._open_spans: Dict[Tuple[str, str], Span] = {}
 
     # ------------------------------------------------------------------
@@ -133,6 +144,7 @@ class Telemetry:
         cleaned = None if prefixes is None else tuple(prefixes)
         subscription = Subscription(self, callback, cleaned)
         self._subscribers.append(subscription)
+        self._routes.clear()
         self.active = True
         return subscription
 
@@ -149,23 +161,58 @@ class Telemetry:
             self._subscribers.remove(subscription)
         except ValueError:
             pass
+        self._routes.clear()
         self.active = bool(self._subscribers)
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
+    def _route(self, kind: str) -> Tuple[SubscriberFn, ...]:
+        """Compute and cache the callbacks that take ``kind``, in
+        subscription order."""
+        routed = self._routes[kind] = tuple(
+            subscription.callback
+            for subscription in self._subscribers
+            if subscription.wants(kind)
+        )
+        return routed
+
+    def skip(self, kind: str, count: int = 1) -> bool:
+        """Whether a firehose site may skip ``count`` emissions of ``kind``.
+
+        True when no subscriber takes ``kind``: the emissions are
+        counted here, as ``emit`` would count them, and the caller
+        builds no payload.  False when some subscriber does, and the
+        caller emits as usual::
+
+            if not tel.skip("sim.fire"):
+                tel.emit("sim.fire", name=_callback_name(callback))
+        """
+        routed = self._routes.get(kind)
+        if routed is None:
+            routed = self._route(kind)
+        if routed:
+            return False
+        self.emitted += count
+        return True
+
     def emit(self, kind: str, **fields) -> None:
-        """Publish one event to every matching subscriber.
+        """Publish one event to every subscriber that takes its kind.
 
         Call only inside an ``if telemetry.active:`` guard — emitting on
         an inactive bus is wasted work (the event goes nowhere) though
-        it is harmless and still deterministic.
+        it is harmless and still deterministic.  Every call counts in
+        :attr:`emitted`; an event no subscriber takes is never built.
         """
-        event = TelemetryEvent(self.clock(), kind, fields)
         self.emitted += 1
-        for subscription in self._subscribers:
-            if subscription.wants(kind):
-                subscription.callback(event)
+        routed = self._routes.get(kind)
+        if routed is None:
+            routed = self._route(kind)
+        if not routed:
+            return
+        event = TelemetryEvent(self.clock(), kind, fields)
+        for callback in routed:
+            callback(event)
 
     def count(self, name: str, amount: int = 1) -> None:
         """Shorthand: bump the registry counter ``name``."""

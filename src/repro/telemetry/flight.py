@@ -248,6 +248,10 @@ class FlightRecorder:
         self._last_t = 0.0
         self._capture: Optional[_Capture] = None
         self._finished = False
+        #: Per-kind ``(sample rate, ring budget)``, resolved once from the
+        #: config (which never changes after construction) instead of
+        #: scanning its prefixes on every event.
+        self._rules: Dict[str, Tuple[int, int]] = {}
         self._subscription = None
         if telemetry is not None:
             self._subscription = telemetry.subscribe(
@@ -263,6 +267,13 @@ class FlightRecorder:
     def feed(self, t: float, kind: str, fields: Dict) -> None:
         """Process one event (the subscriber path and offline replay)."""
         config = self.config
+        rules = self._rules.get(kind)
+        if rules is None:
+            rules = self._rules[kind] = (
+                config.sample_rate_for(kind),
+                config.budget_for(kind),
+            )
+        rate, budget = rules
         self.seen[kind] = self.seen.get(kind, 0) + 1
         self._last_t = t if t > self._last_t else self._last_t
 
@@ -305,13 +316,12 @@ class FlightRecorder:
         # Ring retention is independent of capture state: the sampling
         # counters advance on every event, so what the rings hold is a
         # pure function of the stream, capture windows or not.
-        rate = config.sample_rate_for(kind)
         if rate > 1 and (self.seen[kind] - 1) % rate:
             self.sampled_out[kind] = self.sampled_out.get(kind, 0) + 1
             return
         ring = self._rings.get(kind)
         if ring is None:
-            ring = self._rings[kind] = deque(maxlen=config.budget_for(kind))
+            ring = self._rings[kind] = deque(maxlen=budget)
         if ring.maxlen is not None and len(ring) == ring.maxlen:
             self.evicted[kind] = self.evicted.get(kind, 0) + 1
         if record is None:

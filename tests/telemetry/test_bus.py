@@ -228,3 +228,48 @@ def test_disabled_tracer_records_nothing():
     tracer.record(1.0, print, ())
     assert tracer.records == []
     assert tracer.dropped == 0
+
+
+def test_self_closing_subscriber_does_not_skip_the_next_one():
+    tel = Telemetry()
+    got = []
+
+    def first(event):
+        got.append(("a", event.kind))
+        sub_a.close()
+
+    sub_a = tel.subscribe(first)
+    tel.subscribe(lambda event: got.append(("b", event.kind)))
+    tel.emit("x.y")
+    assert got == [("a", "x.y"), ("b", "x.y")]
+    tel.emit("x.z")  # A is gone from the next emission on
+    assert got[2:] == [("b", "x.z")]
+    assert tel.emitted == 2
+
+
+def test_unrouted_kind_is_counted_but_never_built():
+    clock_reads = []
+
+    def clock():
+        clock_reads.append(1)
+        return 0.0
+
+    tel = Telemetry(clock=clock)
+    events, _ = tel.collect(prefixes=("client.",))
+    tel.emit("sim.fire", name="tick")
+    assert clock_reads == [] and events == []
+    assert tel.emitted == 1
+    assert tel.skip("net.deliver", 3) and tel.emitted == 4
+    assert not tel.skip("client.flow") and tel.emitted == 4
+    tel.emit("client.flow")
+    assert [e.kind for e in events] == ["client.flow"] and clock_reads == [1]
+
+
+def test_skip_follows_subscribe_and_close():
+    tel = Telemetry()
+    assert tel.skip("sim.fire")
+    fire, sub = tel.collect(prefixes=("sim.",))
+    assert not tel.skip("sim.fire")
+    sub.close()
+    assert tel.skip("sim.fire")
+    assert tel.emitted == 2
